@@ -188,13 +188,27 @@ func deltaGeomeans(rep Report) (ns, sps float64) {
 	return math.Exp(logNs / float64(n)), math.Exp(logSps / float64(n))
 }
 
-// gitSHA best-effort resolves the working tree's short commit SHA.
+// gitSHA best-effort resolves the working tree's short commit SHA, marked
+// dirty when the tree differs from that commit (see formatSHA).
 func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	head, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	status, err := exec.Command("git", "status", "--porcelain").Output()
+	return formatSHA(string(head), string(status), err)
+}
+
+// formatSHA renders a ledger row's attribution from `git rev-parse --short
+// HEAD` and `git status --porcelain` output. Any uncommitted change — or a
+// status that could not be read — appends "-dirty": the row measured code
+// that is not the commit, and must not silently carry its SHA.
+func formatSHA(head, porcelain string, statusErr error) string {
+	sha := strings.TrimSpace(head)
+	if statusErr != nil || strings.TrimSpace(porcelain) != "" {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 // readTrajectory parses the JSONL ledger (missing file = empty history).

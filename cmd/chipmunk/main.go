@@ -231,8 +231,8 @@ func main() {
 		fatalIf(err)
 	}
 	interrupted := errors.Is(err, context.Canceled)
-	modeNote := fmt.Sprintf("j=%d, workers=%d", cli.Jobs, opts.Workers)
-	finish(sys, census, viol, interrupted, false, modeNote, cli.Verbose, cli.OutDir, inst, cli.Journal, nil)
+	timing := fmt.Sprintf("%v (j=%d, workers=%d)", census.Elapsed.Round(time.Millisecond), cli.Jobs, opts.Workers)
+	finish(sys, census, viol, interrupted, false, timing, cli.Verbose, cli.OutDir, inst, cli.Journal, nil)
 }
 
 // runApp is the -app mode: check the application's crash contract on one
@@ -395,6 +395,7 @@ type coordinatorKnobs struct {
 func runCoordinator(addr string, cspec campaign.Spec, knobs coordinatorKnobs,
 	sys harness.System, inst *harness.Instrumentation,
 	cli *harness.CLIOptions, verbose bool, outDir string) {
+	start := time.Now()
 	coord, err := campaign.NewCoordinator(campaign.CoordinatorConfig{
 		Spec:             cspec,
 		ShardSize:        knobs.shardSize,
@@ -440,6 +441,7 @@ func runCoordinator(addr string, cspec campaign.Spec, knobs coordinatorKnobs,
 		"interrupt: draining — no new leases; crediting in-flight shards to the checkpoint (interrupt again to force exit)")
 	defer stop()
 	census, viol, err := coord.Wait(ctx)
+	wall := time.Since(start)
 	srv.Close() //nolint:errcheck // listener teardown on the way out
 	stop()
 	interrupted := errors.Is(err, context.Canceled)
@@ -448,7 +450,11 @@ func runCoordinator(addr string, cspec campaign.Spec, knobs coordinatorKnobs,
 		fatalIf(err)
 	}
 	fatalIf(coord.Close())
-	finish(sys, census, viol, interrupted, coord.Degraded(), "distributed", verbose, outDir, inst, cli.Journal, func() {
+	// census.Elapsed sums the shards' engine time across workers, so it is
+	// compute, not wall time: print both, labelled.
+	timing := fmt.Sprintf("%v wall (distributed; %v summed shard compute)",
+		wall.Round(time.Millisecond), census.Elapsed.Round(time.Millisecond))
+	finish(sys, census, viol, interrupted, coord.Degraded(), timing, verbose, outDir, inst, cli.Journal, func() {
 		st := coord.Stats()
 		fmt.Printf("%s\n", st)
 		if faultStats != nil {
@@ -589,19 +595,20 @@ func runFuzzCoordinator(addr string, fspec campaign.Spec, knobs coordinatorKnobs
 // reports, closes the instrumentation, and exits with the shared status
 // convention (harness.Exit*): degraded campaigns exit 3 — ahead of
 // violations, because an incomplete census is the more urgent fact — then
-// violations 1, interrupted 130. extra, when non-nil, runs after the census
-// block (campaign stats).
+// violations 1, interrupted 130. timing ends the summary line: elapsed time
+// and run mode. extra, when non-nil, runs after the census block (campaign
+// stats).
 func finish(sys harness.System, census *harness.Census, viol []core.Violation,
-	interrupted, degraded bool, modeNote string, verbose bool, outDir string,
+	interrupted, degraded bool, timing string, verbose bool, outDir string,
 	inst *harness.Instrumentation, journalPath string, extra func()) {
 	clusters := core.Triage(viol)
 	status := "done"
 	if interrupted {
 		status = "interrupted (partial census)"
 	}
-	fmt.Printf("\n%s: %d workloads, %d crash states (%d deduped, %d truncated fences), %v (%s)\n",
+	fmt.Printf("\n%s: %d workloads, %d crash states (%d deduped, %d truncated fences), %s\n",
 		status, census.Workloads, census.StatesChecked, census.StatesDeduped,
-		census.TruncatedFences, census.Elapsed.Round(time.Millisecond), modeNote)
+		census.TruncatedFences, timing)
 	if n := len(census.Quarantined) + census.SuppressedQuarantine; n > 0 || census.RetriedChecks > 0 {
 		fmt.Printf("sandbox: %d states quarantined (%d suppressed past ledger cap), %d transient retries\n",
 			n, census.SuppressedQuarantine, census.RetriedChecks)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -217,22 +218,26 @@ func (wf *wireFaults) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	serve := func(w http.ResponseWriter) {
-		req := r
+	serve := func(ctx context.Context, w http.ResponseWriter) {
+		req := r.WithContext(ctx)
 		if body != nil {
-			req = r.Clone(r.Context())
+			req = r.Clone(ctx)
 			req.Body = io.NopCloser(bytes.NewReader(body))
 			req.ContentLength = int64(len(body))
 		}
 		wf.inner.ServeHTTP(w, req)
 	}
-	serve(w)
+	serve(r.Context(), w)
 	if hit(wf.site(wireDupDomain, endpoint, idx), wf.cfg.DupOneInN) {
 		// Retransmit racing a slow ack: the handler hears the same request
 		// twice, the client hears only the first answer. At-most-once
-		// crediting must make the replay a no-op.
+		// crediting must make the replay a no-op. The replay's sender has
+		// already hung up, so its context is done: a held lease request
+		// answers after one attempt instead of parking nobody's connection.
 		wf.duped.Add(1)
-		serve(discardWriter{})
+		hungUp, cancel := context.WithCancel(r.Context())
+		cancel()
+		serve(hungUp, discardWriter{})
 	}
 }
 

@@ -98,7 +98,7 @@ func TestChaosDifferential(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < workerCount; i++ {
 		wc := WorkerConfig{
-			Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i), Poll: 5 * time.Millisecond,
+			Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i),
 			PoisonShards: []int{poisoned}, // every worker crashes on the poisoned shard
 		}
 		wctx := context.Background()

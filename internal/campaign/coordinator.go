@@ -150,6 +150,10 @@ type Coordinator struct {
 	// workers maps worker ID to the last moment it was heard from (lease,
 	// heartbeat, or result) — the dashboard's liveness column.
 	workers map[string]time.Time
+	// wake releases held lease requests on every change that can turn a
+	// LeaseWait into a grant or LeaseDone: a credit, a failed dispatch
+	// attempt, Drain, Close.
+	wake Waker
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -367,6 +371,7 @@ func (c *Coordinator) failAttemptLocked(i int, worker, cause string) {
 	s.attempts++
 	s.lastErr = cause
 	s.worker = worker
+	c.wake.Wake()
 	if s.attempts >= c.shardRetries {
 		c.quarantineLocked(i)
 		return
@@ -446,11 +451,45 @@ func (c *Coordinator) leasedLocked() int {
 	return n
 }
 
+// nextDeadlineLocked is the earliest deadline among leased shards (zero when
+// none is leased): the moment a held lease request must re-run Lease so an
+// expired lease is reclaimed on time. Caller holds c.mu.
+func (c *Coordinator) nextDeadlineLocked() time.Time {
+	var next time.Time
+	for i := range c.shards {
+		s := &c.shards[i]
+		if s.state == shardLeased && (next.IsZero() || s.deadline.Before(next)) {
+			next = s.deadline
+		}
+	}
+	return next
+}
+
 // Lease hands the lowest-numbered pending shard to a worker, or tells it
-// to wait (everything in flight) or exit (done, draining, or failed).
+// to wait (everything in flight) or exit (done, draining, or failed). It
+// never blocks; the HTTP handler holds a LeaseWait at the coordinator
+// instead (HoldLease).
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(req)
+}
+
+// holdLease is Lease for the wire: a LeaseWait is held until the next state
+// change, the earliest lease deadline, or ctx's end (see HoldLease).
+func (c *Coordinator) holdLease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	return HoldLease(ctx, func() (LeaseResponse, <-chan struct{}, time.Time, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		resp, err := c.leaseLocked(req)
+		if err != nil || resp.Status != LeaseWait {
+			return resp, nil, time.Time{}, err
+		}
+		return resp, c.wake.Chan(), c.nextDeadlineLocked(), nil
+	})
+}
+
+func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 	if req.SuiteHash != c.info.SuiteHash {
 		c.rejected++
 		return LeaseResponse{}, fmt.Errorf(
@@ -547,6 +586,7 @@ func (c *Coordinator) Credit(p *ShardPayload) (CreditResponse, error) {
 	slot.worker = p.Worker
 	slot.payload = p
 	c.remaining--
+	c.wake.Wake()
 	c.perWorker[p.Worker]++
 	c.workers[p.Worker] = time.Now()
 	// One measurement span per credited shard, spanning lease grant to
@@ -690,10 +730,12 @@ func (c *Coordinator) Stats() Stats {
 }
 
 // Drain stops issuing new leases; in-flight shards may still report and
-// be credited (and checkpointed) until their deadlines expire.
+// be credited (and checkpointed) until their deadlines expire. Held lease
+// requests are answered LeaseDone at once.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.draining = true
+	c.wake.Wake()
 	c.mu.Unlock()
 }
 
@@ -738,11 +780,14 @@ func (c *Coordinator) finish(err error) (*harness.Census, []core.Violation, erro
 	return cen, viol, err
 }
 
-// Close releases the checkpoint file handle.
+// Close releases the checkpoint file handle. A closed coordinator drains:
+// it issues no more leases, and held lease requests are answered LeaseDone.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	ck := c.ckpt
 	c.ckpt = nil
+	c.draining = true
+	c.wake.Wake()
 	c.mu.Unlock()
 	return ck.Close()
 }
@@ -783,7 +828,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad lease request: %v", err))
 		return
 	}
-	resp, err := c.Lease(req)
+	resp, err := c.holdLease(r.Context(), req)
 	if err != nil {
 		writeJSONError(w, http.StatusConflict, err.Error())
 		return
@@ -882,8 +927,24 @@ func ListenAndServe(addr string, h http.Handler) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the listener.
-func (s *Server) Close() error { return s.srv.Close() }
+// closeGrace bounds how long Server.Close lets in-flight handlers finish.
+// A coordinator that completed, drained or closed answers its held lease
+// requests at once, so this is normally a few milliseconds; it is what lets
+// those LeaseDone answers reach the workers before the listener goes away.
+const closeGrace = 2 * time.Second
+
+// Close stops the listener, lets in-flight requests — held lease requests
+// answering LeaseDone above all — finish for up to closeGrace, then closes
+// every remaining connection.
+func (s *Server) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	err := s.srv.Shutdown(ctx)
+	if err != nil {
+		s.srv.Close() //nolint:errcheck // grace spent: drop the stragglers
+	}
+	return err
+}
 
 // String formats the control-plane summary the -serve frontend prints:
 // shard accounting first, then per-worker credit counts sorted by worker

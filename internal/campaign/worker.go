@@ -58,8 +58,6 @@ type WorkerConfig struct {
 	// Journal, when non-nil, receives this worker's run-journal events —
 	// per-worker journals are merged afterwards with journaltool -merge.
 	Journal *obs.Journal
-	// Poll is the wait-state poll interval (default 300ms).
-	Poll time.Duration
 	// OnLease, when set, is called after each granted lease before the
 	// shard runs — the hook kill-mid-shard tests use to die at a precise
 	// point.
@@ -107,9 +105,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	}
 	if wc.Jobs == 0 {
 		wc.Jobs = 1
-	}
-	if wc.Poll <= 0 {
-		wc.Poll = 300 * time.Millisecond
 	}
 	if wc.ShardTimeout == 0 {
 		wc.ShardTimeout = DefaultShardTimeout
@@ -182,22 +177,20 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			logf("worker %s: campaign done", wc.ID)
 			return nil
 		case LeaseWait:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(wc.Poll):
-			}
+			// The coordinator already held this request until its hold cap
+			// ran out: ask again at once.
 			continue
 		case LeaseGranted:
 		default:
 			// A status outside the protocol can only be a response corrupted
 			// in flight (the coordinator emits three fixed strings): discard
-			// and re-poll — whatever was actually granted expires on its own.
+			// and ask again after a short pause — whatever was actually
+			// granted expires on its own.
 			logf("worker %s: unknown lease status %q; discarding (corrupt response?)", wc.ID, lease.Status)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(wc.Poll):
+			case <-time.After(CorruptLeaseBackoff):
 			}
 			continue
 		}

@@ -192,6 +192,11 @@ type Coordinator struct {
 	draining bool
 	failed   error
 	ckpt     *Checkpoint
+	// wake releases held lease requests on every change that can turn a
+	// LeaseWait into a grant or LeaseDone: a credit (and the generation
+	// fold and minimization tasks it may open), a failed dispatch attempt,
+	// Drain, Close.
+	wake campaign.Waker
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -473,6 +478,7 @@ func (c *Coordinator) failRoundLocked(i int, worker, cause string) {
 	s.attempts++
 	s.lastErr = cause
 	s.worker = worker
+	c.wake.Wake()
 	if s.attempts < c.retries {
 		c.log("round %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			i, s.attempts, c.retries, worker, cause)
@@ -503,6 +509,7 @@ func (c *Coordinator) failMinLocked(m *minTask, worker, cause string) {
 	m.attempts++
 	m.lastErr = cause
 	m.worker = worker
+	c.wake.Wake()
 	if m.attempts < c.retries {
 		c.log("minimize task %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			m.id, m.attempts, c.retries, worker, cause)
@@ -523,14 +530,57 @@ func (c *Coordinator) failMinLocked(m *minTask, worker, cause string) {
 	c.maybeCompleteLocked()
 }
 
+// nextDeadlineLocked is the earliest deadline among leased rounds and
+// minimization tasks (zero when none is leased): the moment a held lease
+// request must re-run Lease so an expired lease is reclaimed on time.
+// Caller holds c.mu.
+func (c *Coordinator) nextDeadlineLocked() time.Time {
+	var next time.Time
+	earlier := func(d time.Time) {
+		if next.IsZero() || d.Before(next) {
+			next = d
+		}
+	}
+	for i := range c.rounds {
+		if c.rounds[i].state == roundLeased {
+			earlier(c.rounds[i].deadline)
+		}
+	}
+	for _, m := range c.mins {
+		if m.state == minLeased {
+			earlier(m.deadline)
+		}
+	}
+	return next
+}
+
 // Lease hands out the next unit of fuzzing work: minimization tasks first
 // (they gate completion and are cheap), then the lowest pending round whose
 // generation is open. A worker that re-requests while still holding a lease
 // gets the same unit back with a fresh deadline — the recovery path for a
-// lease response discarded as corrupt.
+// lease response discarded as corrupt. Lease never blocks; the HTTP handler
+// holds a LeaseWait at the coordinator instead (campaign.HoldLease).
 func (c *Coordinator) Lease(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(req)
+}
+
+// holdLease is Lease for the wire: a LeaseWait is held until the next state
+// change, the earliest lease deadline, or ctx's end.
+func (c *Coordinator) holdLease(ctx context.Context, req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
+	return campaign.HoldLease(ctx, func() (FuzzLeaseResponse, <-chan struct{}, time.Time, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		resp, err := c.leaseLocked(req)
+		if err != nil || resp.Status != campaign.LeaseWait {
+			return resp, nil, time.Time{}, err
+		}
+		return resp, c.wake.Chan(), c.nextDeadlineLocked(), nil
+	})
+}
+
+func (c *Coordinator) leaseLocked(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
 	if req.SpecHash != c.info.SuiteHash {
 		c.rejected++
 		return FuzzLeaseResponse{}, fmt.Errorf(
@@ -693,6 +743,7 @@ func (c *Coordinator) creditRound(p *FuzzResult) (campaign.CreditResponse, error
 	c.creditRoundLocked(slot, p)
 	c.perWorker[p.Worker]++
 	c.workers[p.Worker] = time.Now()
+	c.wake.Wake()
 	if err := c.ckpt.AppendRound(p); err != nil {
 		// A checkpoint that silently stops recording is worse than a failed
 		// soak: resume would re-run rounds it believes missing and fold a
@@ -778,6 +829,7 @@ func (c *Coordinator) creditMin(p *FuzzResult) (campaign.CreditResponse, error) 
 	c.creditMinLocked(m, p)
 	c.perWorker[p.Worker]++
 	c.workers[p.Worker] = time.Now()
+	c.wake.Wake()
 	if err := c.ckpt.AppendMin(p); err != nil {
 		if c.failed == nil {
 			c.failed = err
@@ -1015,10 +1067,12 @@ func (c *Coordinator) Corpus() []CorpusEntry {
 	return append([]CorpusEntry(nil), c.corpus...)
 }
 
-// Drain stops issuing new leases; in-flight units may still credit.
+// Drain stops issuing new leases; in-flight units may still credit. Held
+// lease requests are answered LeaseDone at once.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.draining = true
+	c.wake.Wake()
 	c.mu.Unlock()
 }
 
@@ -1076,11 +1130,14 @@ func (c *Coordinator) finish(err error) (report.FuzzCensus, error) {
 	return c.Census(), err
 }
 
-// Close releases the checkpoint file handle.
+// Close releases the checkpoint file handle. A closed coordinator drains:
+// it issues no more leases, and held lease requests are answered LeaseDone.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	ck := c.ckpt
 	c.ckpt = nil
+	c.draining = true
+	c.wake.Wake()
 	c.mu.Unlock()
 	return ck.Close()
 }
@@ -1231,7 +1288,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		campaign.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad lease request: %v", err))
 		return
 	}
-	resp, err := c.Lease(req)
+	resp, err := c.holdLease(r.Context(), req)
 	if err != nil {
 		campaign.WriteJSONError(w, http.StatusConflict, err.Error())
 		return

@@ -50,7 +50,7 @@ func runSoak(t *testing.T, cc CoordinatorConfig, n int, ctxFor func(i int) conte
 	res := soakResult{workerErrs: make([]error, n)}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wc := WorkerConfig{Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i), Poll: 5 * time.Millisecond}
+		wc := WorkerConfig{Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i)}
 		if mut != nil {
 			mut(i, &wc)
 		}
@@ -247,7 +247,7 @@ func TestSoakSurvivesWireFaults(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			workerErrs[i] = RunWorker(context.Background(), WorkerConfig{
-				Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i), Poll: 5 * time.Millisecond,
+				Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i),
 			})
 		}(i)
 	}
@@ -304,7 +304,7 @@ func TestCheckpointResume(t *testing.T) {
 	go func() {
 		defer close(done)
 		RunWorker(wctx, WorkerConfig{ //nolint:errcheck // killed on purpose
-			Addr: srv1.Addr(), ID: "w0", Poll: 5 * time.Millisecond,
+			Addr: srv1.Addr(), ID: "w0",
 			OnLease: func(FuzzLeaseResponse) {
 				leases++
 				if leases > 3 {
@@ -367,7 +367,7 @@ func TestSpecHashRejectsForeignWorker(t *testing.T) {
 	bad := info
 	bad.SuiteHash = "fz0000000000000000"
 	err = RunWorker(context.Background(), WorkerConfig{
-		Addr: srv.Addr(), ID: "imposter", Poll: 5 * time.Millisecond, Info: &bad,
+		Addr: srv.Addr(), ID: "imposter", Info: &bad,
 	})
 	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("foreign worker not refused: %v", err)

@@ -39,8 +39,6 @@ type WorkerConfig struct {
 	DialBudget time.Duration
 	// Journal, when non-nil, receives this worker's run-journal events.
 	Journal *obs.Journal
-	// Poll is the wait-state poll interval (default 300ms).
-	Poll time.Duration
 	// OnLease, when set, is called after each granted lease before the unit
 	// runs — the hook kill-mid-round tests use to die at a precise point.
 	OnLease func(FuzzLeaseResponse)
@@ -90,9 +88,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			host = "worker"
 		}
 		wc.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if wc.Poll <= 0 {
-		wc.Poll = 300 * time.Millisecond
 	}
 	if wc.RoundTimeout == 0 {
 		wc.RoundTimeout = DefaultRoundTimeout
@@ -164,11 +159,8 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			logf("worker %s: soak done", wc.ID)
 			return nil
 		case campaign.LeaseWait:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(wc.Poll):
-			}
+			// The coordinator already held this request until its hold cap
+			// ran out: ask again at once.
 			continue
 		case LeaseRound:
 			if wc.OnLease != nil {
@@ -189,12 +181,13 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			payload, abandoned = runMinimize(ctx, client, wc, cfg, lease, info)
 		default:
 			// Only in-flight corruption produces an unknown status: discard
-			// and re-poll — whatever was granted expires or is re-granted.
+			// and ask again after a short pause — whatever was granted
+			// expires or is re-granted.
 			logf("worker %s: unknown lease status %q; discarding (corrupt response?)", wc.ID, lease.Status)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(wc.Poll):
+			case <-time.After(campaign.CorruptLeaseBackoff):
 			}
 			continue
 		}
