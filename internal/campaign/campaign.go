@@ -15,7 +15,7 @@
 // checkpoint so a killed coordinator restarts with -resume and skips
 // finished work.
 //
-// Fault tolerance falls out of the lease state machine (see coordinator.go):
+// Fault tolerance falls out of the lease state machine (internal/lease):
 // pending -> leased(worker, deadline) -> done | quarantined. A worker that
 // dies mid-shard simply lets its lease expire; the shard reverts to pending
 // and is re-dispatched. A shard that keeps failing — lease expiries,
@@ -31,9 +31,7 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -42,6 +40,7 @@ import (
 	"chipmunk/internal/app/kvwork"
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/workload"
@@ -173,9 +172,9 @@ const (
 	// LeaseGranted carries a shard to run.
 	LeaseGranted = "lease"
 	// LeaseWait means every remaining shard is leased out — poll again.
-	LeaseWait = "wait"
+	LeaseWait = lease.Wait
 	// LeaseDone means the campaign is complete (or draining): exit.
-	LeaseDone = "done"
+	LeaseDone = lease.Done
 )
 
 // LeaseResponse answers a lease request.
@@ -189,6 +188,9 @@ type LeaseResponse struct {
 	// coordinator re-dispatched the shard is discarded as a duplicate.
 	TTLNanos int64 `json:"ttl_ns,omitempty"`
 }
+
+// LeaseStatus implements lease.Response.
+func (r LeaseResponse) LeaseStatus() string { return r.Status }
 
 // ShardPayload is one completed shard's result (POST /campaign/result):
 // the frozen census of harness.Run over suite[Start:End], carried field by
@@ -235,16 +237,19 @@ type ShardPayload struct {
 func PayloadSum(p *ShardPayload) string {
 	cp := *p
 	cp.Sum = ""
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		// ShardPayload is a plain struct of marshalable fields; unreachable,
-		// but never let checksumming panic the wire path.
-		return fmt.Sprintf("unmarshalable: %v", err)
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return lease.Checksum(&cp)
 }
+
+// Claim implements lease.Result.
+func (p *ShardPayload) Claim() lease.Claim {
+	return lease.Claim{Hash: p.SuiteHash, Kind: unitShard, ID: p.Shard, Worker: p.Worker, Err: p.Err, Sum: p.Sum}
+}
+
+// Checksum implements lease.Result.
+func (p *ShardPayload) Checksum() string { return PayloadSum(p) }
+
+// Seal implements lease.Result.
+func (p *ShardPayload) Seal() { p.Sum = PayloadSum(p) }
 
 // ShardQuarantine is one entry of the shard-quarantine ledger: a shard that
 // failed -shard-retries dispatch attempts (lease expiries, structured error
@@ -288,29 +293,11 @@ type HeartbeatRequest struct {
 	StatesChecked int `json:"states_checked,omitempty"`
 }
 
-// HeartbeatResponse answers a heartbeat. Extended is false when the shard
-// is no longer leased to this worker (expired and re-dispatched, done, or
-// quarantined): the worker should abandon the shard rather than burn
-// compute on a result that would be discarded.
-type HeartbeatResponse struct {
-	Extended bool  `json:"extended"`
-	TTLNanos int64 `json:"ttl_ns,omitempty"`
-}
+// HeartbeatResponse answers a heartbeat; see lease.HeartbeatResponse.
+type HeartbeatResponse = lease.HeartbeatResponse
 
-// CreditResponse answers a result post.
-type CreditResponse struct {
-	Accepted bool `json:"accepted"`
-	// Duplicate means the shard was already credited (at-most-once): the
-	// payload was discarded.
-	Duplicate bool `json:"duplicate"`
-	// Quarantined means the shard is in the shard-quarantine ledger — either
-	// this error payload spent its last dispatch attempt, or a late result
-	// arrived for an already-quarantined shard (discarded: a shard is never
-	// both credited and quarantined).
-	Quarantined bool `json:"quarantined,omitempty"`
-	// Done means the campaign completed with this credit.
-	Done bool `json:"done"`
-}
+// CreditResponse answers a result post; see lease.CreditResponse.
+type CreditResponse = lease.CreditResponse
 
 // NewShardPayload freezes a shard's harness.Run outcome into its wire form.
 func NewShardPayload(shard int, worker, suiteHash string, c *harness.Census, viol []core.Violation) *ShardPayload {

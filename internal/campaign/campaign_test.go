@@ -13,6 +13,7 @@ import (
 
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"path/filepath"
 )
@@ -308,6 +309,43 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 	}
 }
 
+// TestLeaseRegrantHeldShard: a worker that asks again while it holds shard
+// k — it never heard the grant: a corrupt or lost response, a replayed
+// request — gets shard k back with a fresh deadline. No second shard is
+// leased, and nothing counts as re-dispatched: the held shard does not sit
+// as a phantom lease until its TTL burns one of its attempts.
+func TestLeaseRegrantHeldShard(t *testing.T) {
+	spec := testSpec()
+	spec.Max = 8
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	req := LeaseRequest{Worker: "w", SuiteHash: coord.Info().SuiteHash}
+	first, err := coord.Lease(req)
+	if err != nil || first.Status != LeaseGranted {
+		t.Fatalf("first lease: %+v, %v", first, err)
+	}
+	const gap = 30 * time.Millisecond
+	time.Sleep(gap)
+	second, err := coord.Lease(req)
+	if err != nil || second != first {
+		t.Fatalf("re-request got %+v, %v; want shard %d again: %+v", second, err, first.Shard, first)
+	}
+	st := coord.Status()
+	if st.Leased != 1 || st.Pending != st.Shards-1 || len(st.InFlight) != 1 {
+		t.Fatalf("a second shard was leased: %+v", st)
+	}
+	// The in-flight age restarts with the grant, and the deadline with it.
+	if age := st.InFlight[0].AgeSec; age >= gap.Seconds() {
+		t.Fatalf("re-grant kept the old lease (age %.3fs)", age)
+	}
+	if s := coord.Stats(); s.Redispatched != 0 {
+		t.Fatalf("re-grant counted as a re-dispatch: %+v", s)
+	}
+}
+
 // TestSuiteFingerprintMismatch checks both rejection sides: the
 // coordinator refuses leases and results carrying a foreign fingerprint
 // (HTTP 409 with a diagnosable message), and a worker whose local
@@ -344,7 +382,7 @@ func TestSuiteFingerprintMismatch(t *testing.T) {
 	info := coord.Info()
 	info.SuiteHash = "0000000000000000"
 	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, info)
+		lease.WriteJSON(w, http.StatusOK, info)
 	}))
 	defer liar.Close()
 	err = RunWorker(context.Background(), WorkerConfig{
@@ -407,6 +445,42 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointResumeParentFormat resumes, with no workers, a complete
+// checkpoint an earlier build wrote with
+//
+//	chipmunk -fs nova -bugs all -suite seq1 -max 8 -cap 2 -stats -shard-size 4 -resume seq1-max8.ckpt -serve ADDR
+//
+// plus one worker, and requires the census of a fresh serial run byte for
+// byte: the checkpoint line format is a compatibility surface.
+func TestCheckpointResumeParentFormat(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "seq1-max8.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	spec.Max = 8
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	census, viol, err := coord.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.Shards != 2 || st.Resumed != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+	want := restrictedBaseline(t, spec, 4, nil)
+	if got := Fingerprint(census, viol); got != want {
+		t.Fatalf("resumed census diverges from serial:\n--- serial ---\n%s--- resumed ---\n%s", want, got)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"chipmunk/internal/lease"
 )
 
 // This file is the campaign-layer analogue of pmem's fault injector: a
@@ -197,7 +199,7 @@ func (wf *wireFaults) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// stands between that and a mis-credit.
 	var body []byte
 	if r.Body != nil && r.Method == http.MethodPost {
-		b, err := io.ReadAll(io.LimitReader(r.Body, maxResultBody+1))
+		b, err := io.ReadAll(io.LimitReader(r.Body, lease.MaxLine+1))
 		r.Body.Close()
 		if err != nil {
 			panic(http.ErrAbortHandler)
@@ -244,6 +246,6 @@ func (wf *wireFaults) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // discardWriter swallows the duplicate delivery's response.
 type discardWriter struct{}
 
-func (discardWriter) Header() http.Header       { return make(http.Header) }
+func (discardWriter) Header() http.Header         { return make(http.Header) }
 func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (discardWriter) WriteHeader(int)           {}
+func (discardWriter) WriteHeader(int)             {}

@@ -18,6 +18,7 @@ import (
 
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
@@ -193,10 +194,9 @@ func TestChaosDifferential(t *testing.T) {
 }
 
 // coordShardDone reports whether shard i is credited.
-func coordShardDone(c *Coordinator, i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards[i].state == shardDone
+func coordShardDone(c *Coordinator, i int) (done bool) {
+	c.eng.Locked(func() { done = c.job.Slots[i].State == lease.Credited })
+	return done
 }
 
 // TestRetryQuarantined: a quarantined shard is re-runnable — and only it

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"chipmunk/internal/lease"
 )
 
 // wakeWithin bounds how long a held lease request may take to answer after
@@ -83,7 +85,7 @@ func (h *heldLease) answeredBy(t *testing.T, t0 time.Time) time.Duration {
 	t.Helper()
 	select {
 	case <-h.done:
-	case <-time.After(holdCap + time.Second):
+	case <-time.After(lease.HoldCap + time.Second):
 		t.Fatal("held lease request never answered")
 	}
 	if h.err != nil {

@@ -1,18 +1,15 @@
 package campaign
 
 import (
-	"html/template"
-	"net/http"
-	"sort"
 	"time"
 
-	"chipmunk/internal/obs"
+	"chipmunk/internal/lease"
 )
 
 // This file is the coordinator's read-only observability surface: the live
-// JSON shard map (GET /campaign/status), the stdlib-only auto-refreshing
-// HTML dashboard rendered from the same snapshot (GET /campaign/dash), and
-// the Prometheus text exposition of the merged census collector
+// JSON shard map (GET /campaign/status) and the auto-refreshing HTML
+// dashboard rendered from the same snapshot (GET /campaign/dash); the
+// coordinator also serves the merged census collector in Prometheus text
 // (GET /debug/metrics). None of these mutate campaign state: watching a
 // campaign is always safe.
 
@@ -52,33 +49,19 @@ type CampaignStatus struct {
 	ETASec        float64 `json:"eta_sec"`
 	Violations    int     `json:"violations"`
 
-	Workers  []WorkerStatus `json:"workers,omitempty"`
-	InFlight []ShardStatus  `json:"in_flight,omitempty"`
-}
-
-// WorkerStatus is one worker's liveness row, sorted by ID.
-type WorkerStatus struct {
-	ID string `json:"id"`
-	// LastSeenSec is the age of the worker's most recent lease, heartbeat,
-	// or result — the dashboard's liveness column.
-	LastSeenSec float64 `json:"last_seen_sec"`
-	ShardsDone  int     `json:"shards_done"`
+	Workers  []lease.WorkerStatus `json:"workers,omitempty"`
+	InFlight []ShardStatus        `json:"in_flight,omitempty"`
 }
 
 // ShardStatus is one in-flight lease, in shard order.
 type ShardStatus struct {
-	Shard  int    `json:"shard"`
-	Start  int    `json:"start"`
-	End    int    `json:"end"`
-	Worker string `json:"worker"`
-	// AgeSec is time since the lease grant, BeatAgeSec since its last
-	// heartbeat (also the grant when none arrived yet).
-	AgeSec     float64 `json:"age_sec"`
-	BeatAgeSec float64 `json:"beat_age_sec"`
+	Shard int `json:"shard"`
+	Start int `json:"start"`
+	End   int `json:"end"`
+	lease.Row
 	// StatesChecked is the live progress the worker piggybacked on its last
 	// heartbeat (0 until the first one lands).
 	StatesChecked int `json:"states_checked"`
-	Attempts      int `json:"attempts,omitempty"`
 }
 
 // Status snapshots the campaign for the dashboard. Expired leases are shown
@@ -86,8 +69,6 @@ type ShardStatus struct {
 // lease request, and a read-only status probe must not advance the machine.
 func (c *Coordinator) Status() CampaignStatus {
 	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := CampaignStatus{
 		CampaignID: c.info.CampaignID,
 		FS:         c.info.Spec.FS,
@@ -95,112 +76,64 @@ func (c *Coordinator) Status() CampaignStatus {
 		SuiteHash:  c.info.SuiteHash,
 		Workloads:  c.info.Workloads,
 		ShardSize:  c.info.ShardSize,
-		Shards:     len(c.shards),
-		Resumed:    c.resumed,
-		Draining:   c.draining,
 		ElapsedSec: now.Sub(c.started).Seconds(),
 	}
-	shardMap := make([]byte, len(c.shards))
 	var credited int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		switch s.state {
-		case shardPending:
-			st.Pending++
-			shardMap[i] = '.'
-		case shardLeased:
-			st.Leased++
-			shardMap[i] = 'r'
-			credited += int64(s.progress)
-			st.InFlight = append(st.InFlight, ShardStatus{
-				Shard: i, Start: s.start, End: s.end, Worker: s.worker,
-				AgeSec:     now.Sub(s.leasedAt).Seconds(),
-				BeatAgeSec: now.Sub(s.lastBeat).Seconds(),
-				StatesChecked: s.progress, Attempts: s.attempts,
-			})
-		case shardDone:
-			st.Done++
-			shardMap[i] = '#'
-			if s.payload != nil {
-				credited += int64(s.payload.StatesChecked)
-				st.Violations += s.payload.ViolationTotal
+	c.eng.Locked(func() {
+		st.Shards = len(c.job.Slots)
+		st.Resumed = c.eng.CountersLocked().Resumed
+		st.Draining = c.eng.DrainingLocked()
+		shardMap := make([]byte, len(c.job.Slots))
+		for i := range c.job.Slots {
+			s := &c.job.Slots[i]
+			switch s.State {
+			case lease.Pending:
+				st.Pending++
+				shardMap[i] = '.'
+			case lease.Leased:
+				st.Leased++
+				shardMap[i] = 'r'
+				credited += int64(s.Progress)
+				start, end := c.shardRange(i)
+				st.InFlight = append(st.InFlight, ShardStatus{
+					Shard: i, Start: start, End: end, Row: s.Row(now), StatesChecked: s.Progress,
+				})
+			case lease.Credited:
+				st.Done++
+				shardMap[i] = '#'
+				credited += int64(c.job.payloads[i].StatesChecked)
+				st.Violations += c.job.payloads[i].ViolationTotal
+			case lease.GivenUp:
+				st.Quarantined++
+				shardMap[i] = 'X'
 			}
-		case shardQuarantined:
-			st.Quarantined++
-			shardMap[i] = 'X'
 		}
-	}
-	st.ShardMap = string(shardMap)
+		st.ShardMap = string(shardMap)
+		st.Workers = c.eng.WorkersLocked(now)
+	})
 	st.StatesChecked = credited
 	if st.ElapsedSec > 0 {
 		st.StatesPerSec = float64(credited) / st.ElapsedSec
 	}
-	if live := st.Done - c.resumed; live > 0 {
+	if live := st.Done - st.Resumed; live > 0 {
 		remaining := st.Pending + st.Leased
 		st.ETASec = st.ElapsedSec * float64(remaining) / float64(live)
 	}
-	for id, seen := range c.workers {
-		st.Workers = append(st.Workers, WorkerStatus{
-			ID: id, LastSeenSec: now.Sub(seen).Seconds(), ShardsDone: c.perWorker[id],
-		})
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
 	return st
 }
 
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
-}
-
-// handleMetrics exposes the merged census collector in Prometheus text
-// format — the same exposition the engine's -debug-addr listener serves, so
-// one scrape config covers local runs and campaign coordinators alike.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cen, _ := c.Merged()
-	w.Header().Set("Content-Type", obs.MetricsContentType)
-	cen.Obs.WriteMetrics(w)
-}
-
-// dashTmpl is the whole dashboard: one HTML page, no scripts, no external
-// assets, refreshed by <meta http-equiv="refresh">. html/template escapes
-// every interpolation, so worker IDs and suite names are inert.
-var dashTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
-<html><head><meta charset="utf-8"><meta http-equiv="refresh" content="2">
-<title>chipmunk campaign {{.CampaignID}}</title>
-<style>
-body { font-family: monospace; margin: 1.5em; background: #fafafa; color: #222; }
-h1 { font-size: 1.2em; } h2 { font-size: 1em; margin-top: 1.2em; }
-table { border-collapse: collapse; } td, th { padding: 2px 10px; text-align: left; border-bottom: 1px solid #ddd; }
-.map { word-break: break-all; max-width: 64em; line-height: 1.1; }
-.done { color: #2a7; } .run { color: #07c; } .quar { color: #c22; font-weight: bold; }
-</style></head><body>
-<h1>campaign {{.CampaignID}} &mdash; {{.FS}} / {{.Suite}} ({{.Workloads}} workloads, hash {{.SuiteHash}})</h1>
+// dashTmpl is the campaign's page inside the shared dashboard shell.
+var dashTmpl = lease.Page(`{{define "title"}}campaign {{.CampaignID}}{{end}}
+{{define "summary"}}<h1>campaign {{.CampaignID}} &mdash; {{.FS}} / {{.Suite}} ({{.Workloads}} workloads, hash {{.SuiteHash}})</h1>
 <p>
 <span class="done">{{.Done}}/{{.Shards}} shards done</span> &middot;
 <span class="run">{{.Leased}} running</span> &middot;
-{{.Pending}} pending{{if .Quarantined}} &middot; <span class="quar">{{.Quarantined}} QUARANTINED</span>{{end}}{{if .Draining}} &middot; draining{{end}}
+{{.Pending}} pending{{if .Quarantined}} &middot; <span class="bad">{{.Quarantined}} QUARANTINED</span>{{end}}{{if .Draining}} &middot; draining{{end}}
 </p>
 <p>{{.StatesChecked}} states checked &middot; {{printf "%.1f" .StatesPerSec}} states/sec &middot;
 elapsed {{printf "%.0f" .ElapsedSec}}s{{if gt .ETASec 0.0}} &middot; ETA {{printf "%.0f" .ETASec}}s{{end}} &middot;
 {{.Violations}} violations</p>
 <h2>shard map ('.' pending, 'r' running, '#' done, 'X' quarantined)</h2>
-<pre class="map">{{.ShardMap}}</pre>
-{{if .Workers}}<h2>workers</h2>
-<table><tr><th>worker</th><th>last seen</th><th>shards done</th></tr>
-{{range .Workers}}<tr><td>{{.ID}}</td><td>{{printf "%.1f" .LastSeenSec}}s ago</td><td>{{.ShardsDone}}</td></tr>
-{{end}}</table>{{end}}
-{{if .InFlight}}<h2>in flight</h2>
-<table><tr><th>shard</th><th>range</th><th>worker</th><th>age</th><th>last beat</th><th>states</th><th>attempts</th></tr>
-{{range .InFlight}}<tr><td>{{.Shard}}</td><td>[{{.Start}},{{.End}})</td><td>{{.Worker}}</td><td>{{printf "%.1f" .AgeSec}}s</td><td>{{printf "%.1f" .BeatAgeSec}}s ago</td><td>{{.StatesChecked}}</td><td>{{.Attempts}}</td></tr>
-{{end}}</table>{{end}}
-</body></html>
-`))
-
-func (c *Coordinator) handleDash(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := dashTmpl.Execute(w, c.Status()); err != nil {
-		// Too late for an HTTP error (the header is out); the next refresh
-		// retries anyway.
-		c.log("dash render: %v", err)
-	}
-}
+<pre class="map">{{.ShardMap}}</pre>{{end}}
+{{define "cols"}}<th>shard</th><th>range</th><th>states</th>{{end}}
+{{define "row"}}<td>{{.Shard}}</td><td>[{{.Start}},{{.End}})</td><td>{{.StatesChecked}}</td>{{end}}`)

@@ -1,22 +1,19 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
+
+	"chipmunk/internal/lease"
 )
 
-// The fleet checkpoint mirrors the campaign checkpoint: an append-only
-// JSONL file, one fsynced line per state transition, loaded tolerantly so
-// the torn final line of a SIGKILLed coordinator costs one record, not the
-// soak. Because round results are deterministic and the corpus fold is a
-// pure function of the credited/dropped round set, replaying the recorded
-// lines through the same fold state machine reconstructs the coordinator's
-// exact corpus, coverage, and minimization queue — a resumed soak continues
-// byte-for-byte where the dead one stopped.
+// The fleet checkpoint is a lease.Log, like the campaign's: one fsynced
+// line per state transition, loaded tolerantly so the torn final line of a
+// SIGKILLed coordinator costs one record, not the soak. Because round
+// results are deterministic and the corpus fold is a pure function of the
+// credited/dropped round set, replaying the recorded lines through the
+// same fold state machine reconstructs the coordinator's exact corpus,
+// coverage, and minimization queue — a resumed soak continues byte-for-byte
+// where the dead one stopped.
 
 // fleetCkptLine is the on-disk record. Type discriminates:
 //
@@ -74,74 +71,35 @@ type CheckpointState struct {
 	Skipped int
 }
 
-// maxCkptLine bounds one checkpoint line during reads; round results carry
-// corpus entries and violation ledgers, so the cap is generous.
-const maxCkptLine = 16 << 20
-
-// Checkpoint appends fleet records to the soak's checkpoint file.
-type Checkpoint struct {
-	f *os.File
-}
-
-// LoadCheckpoint reads the checkpoint at path tolerantly. Missing file =
-// fresh soak, no error.
+// LoadCheckpoint reads the checkpoint at path tolerantly (lease.LoadLog).
+// Missing file = fresh soak, no error.
 func LoadCheckpoint(path string) (*CheckpointState, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return &CheckpointState{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	defer f.Close()
-	return readCheckpoint(f)
-}
-
-func readCheckpoint(r io.Reader) (*CheckpointState, error) {
 	st := &CheckpointState{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxCkptLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec fleetCkptLine
-		if json.Unmarshal(line, &rec) != nil {
-			st.Skipped++
-			continue
-		}
-		switch rec.Type {
-		case "fleet":
+	skipped, err := lease.LoadLog(path, func(rec fleetCkptLine) bool {
+		switch {
+		case rec.Type == "fleet":
 			if st.Header == nil {
-				rec2 := rec
-				st.Header = &rec2
+				st.Header = &rec
 			}
-		case "round":
-			if rec.Payload != nil {
-				st.Rounds = append(st.Rounds, rec.Payload)
-			} else {
-				st.Skipped++
-			}
-		case "min":
-			if rec.Payload != nil {
-				st.Mins = append(st.Mins, rec.Payload)
-			} else {
-				st.Skipped++
-			}
-		case "drop":
+		case rec.Type == "round" && rec.Payload != nil:
+			st.Rounds = append(st.Rounds, rec.Payload)
+		case rec.Type == "min" && rec.Payload != nil:
+			st.Mins = append(st.Mins, rec.Payload)
+		case rec.Type == "drop":
 			st.Drops = append(st.Drops, RoundDrop{
 				Round: rec.Round, Worker: rec.Worker, Err: rec.Err, Attempts: rec.Attempts,
 			})
-		case "mindrop":
+		case rec.Type == "mindrop":
 			st.MinDrops = append(st.MinDrops, rec.MinCluster)
 		default:
-			st.Skipped++
+			return false
 		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint: %w", err)
-	}
+	st.Skipped = skipped
 	return st, nil
 }
 
@@ -159,80 +117,4 @@ func (st *CheckpointState) Validate(specHash string) error {
 			st.Header.SpecHash, st.Header.FS, specHash)
 	}
 	return nil
-}
-
-// OpenCheckpoint opens path for appending, writing the header when the file
-// is new or headerless. Call after LoadCheckpoint+Validate.
-func OpenCheckpoint(path string, header fleetCkptLine, fresh bool) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	ck := &Checkpoint{f: f}
-	if fresh {
-		header.Type = "fleet"
-		if err := ck.append(header); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return ck, nil
-}
-
-// AppendRound records one credited round durably (fsync per append — the
-// point is surviving a coordinator SIGKILL).
-func (ck *Checkpoint) AppendRound(p *FuzzResult) error {
-	if ck == nil {
-		return nil
-	}
-	return ck.append(fleetCkptLine{Type: "round", Payload: p})
-}
-
-// AppendMin records one credited minimization result durably.
-func (ck *Checkpoint) AppendMin(p *FuzzResult) error {
-	if ck == nil {
-		return nil
-	}
-	return ck.append(fleetCkptLine{Type: "min", Payload: p})
-}
-
-// AppendDrop records a dropped round durably — part of the fold's input,
-// see the type comment.
-func (ck *Checkpoint) AppendDrop(d RoundDrop) error {
-	if ck == nil {
-		return nil
-	}
-	return ck.append(fleetCkptLine{
-		Type: "drop", Round: d.Round, Worker: d.Worker, Err: d.Err, Attempts: d.Attempts,
-	})
-}
-
-// AppendMinDrop records a dropped minimization task durably.
-func (ck *Checkpoint) AppendMinDrop(cluster string) error {
-	if ck == nil {
-		return nil
-	}
-	return ck.append(fleetCkptLine{Type: "mindrop", MinCluster: cluster})
-}
-
-func (ck *Checkpoint) append(rec fleetCkptLine) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	if _, err := ck.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	if err := ck.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// Close closes the checkpoint file.
-func (ck *Checkpoint) Close() error {
-	if ck == nil {
-		return nil
-	}
-	return ck.f.Close()
 }

@@ -33,7 +33,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -42,6 +41,7 @@ import (
 
 	"chipmunk/internal/campaign"
 	"chipmunk/internal/core"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
@@ -58,7 +58,7 @@ const DefaultGenRounds = 8
 // DefaultMinExecs is the engine-invocation budget of one minimization task.
 const DefaultMinExecs = 60
 
-// Lease statuses beyond campaign.LeaseWait / campaign.LeaseDone.
+// Lease statuses beyond lease.Wait / lease.Done.
 const (
 	// LeaseRound carries one fuzzing round.
 	LeaseRound = "round"
@@ -100,10 +100,7 @@ func Normalize(spec campaign.Spec) campaign.Spec {
 // recompute it from the handshake spec and refuse to fuzz on a mismatch —
 // the fuzz-mode analogue of the suite fingerprint check.
 func SpecHash(spec campaign.Spec) string {
-	b, _ := json.Marshal(spec)
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("fz%016x", h.Sum64())
+	return "fz" + lease.Checksum(spec)
 }
 
 // RoundSeed derives round r's fuzzer RNG seed from the soak's master seed
@@ -160,10 +157,7 @@ type CorpusEntry struct {
 // encoding with Sum cleared.
 func EntrySum(e CorpusEntry) string {
 	e.Sum = ""
-	b, _ := json.Marshal(e)
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return lease.Checksum(e)
 }
 
 // entryKey orders corpus candidates canonically at generation folds:
@@ -186,7 +180,7 @@ type FuzzLeaseRequest struct {
 }
 
 // FuzzLeaseResponse answers a fuzz lease request. Status is LeaseRound,
-// LeaseMinimize, campaign.LeaseWait, or campaign.LeaseDone.
+// LeaseMinimize, lease.Wait, or lease.Done.
 type FuzzLeaseResponse struct {
 	Status string `json:"status"`
 
@@ -215,6 +209,9 @@ type FuzzLeaseResponse struct {
 
 	TTLNanos int64 `json:"ttl_ns,omitempty"`
 }
+
+// LeaseStatus implements lease.Response.
+func (r FuzzLeaseResponse) LeaseStatus() string { return r.Status }
 
 // FuzzViolation is one violation on the wire: the cluster coordinates the
 // census groups on (kind, FS, canonical trace prefix — exactly what the
@@ -329,14 +326,24 @@ type FuzzResult struct {
 func ResultSum(p *FuzzResult) string {
 	cp := *p
 	cp.Sum = ""
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		return fmt.Sprintf("unmarshalable: %v", err)
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return lease.Checksum(&cp)
 }
+
+// Claim implements lease.Result: the unit is the round, or the
+// minimization task, the result answers.
+func (p *FuzzResult) Claim() lease.Claim {
+	id := p.Round
+	if p.Kind == ResultMinimize {
+		id = p.MinID
+	}
+	return lease.Claim{Hash: p.SpecHash, Kind: p.Kind, ID: id, Worker: p.Worker, Err: p.Err, Sum: p.Sum}
+}
+
+// Checksum implements lease.Result.
+func (p *FuzzResult) Checksum() string { return ResultSum(p) }
+
+// Seal implements lease.Result.
+func (p *FuzzResult) Seal() { p.Sum = ResultSum(p) }
 
 // FuzzHeartbeat extends a live round or minimization lease
 // (POST /campaign/fuzz-heartbeat). Kind is ResultRound or ResultMinimize;

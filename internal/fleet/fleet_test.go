@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"chipmunk/internal/campaign"
+	"chipmunk/internal/core"
 	"chipmunk/internal/report"
 )
 
@@ -348,6 +351,55 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if got := renderCensus(t, res.census); got != want {
 		t.Errorf("resumed census diverged:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+// TestCheckpointResumeParentSoak resumes, with no workers, a complete
+// checkpoint an earlier build wrote with
+//
+//	chipmunk -fs nova -bugs 4,5 -fuzz -budget 50 -resume soak-50.ckpt -serve ADDR
+//
+// plus one worker. The resumed census must render byte for byte as that
+// build's FUZZCENSUS.md and as a fresh soak of the same spec: the
+// checkpoint line format is a compatibility surface.
+func TestCheckpointResumeParentSoak(t *testing.T) {
+	// The spec the CLI built from those flags and its defaults.
+	spec := Normalize(campaign.Spec{
+		FS: "nova", Bugs: "4,5", Cap: 2, Workers: 1,
+		CheckTimeoutNanos: int64(core.DefaultCheckTimeout), ExhaustiveLimit: core.DefaultExhaustiveLimit,
+		FaultSeed: 1, AppBugs: "none",
+		Fuzz: true, FuzzSeed: 1, BudgetExecs: 50,
+	})
+	data, err := os.ReadFile(filepath.Join("testdata", "soak-50.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := os.ReadFile(filepath.Join("testdata", "soak-50.FUZZCENSUS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "soak.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	census, err := coord.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.Resumed != st.RoundsCredited+st.MinDone || st.RoundsCredited != st.Rounds {
+		t.Fatalf("stats: %+v", st)
+	}
+	got := renderCensus(t, census)
+	if got != string(parent) {
+		t.Errorf("resumed census differs from the writing build's:\n--- written ---\n%s\n--- resumed ---\n%s", parent, got)
+	}
+	if fresh := renderCensus(t, runSoak(t, CoordinatorConfig{Spec: spec}, 2, nil, nil).census); got != fresh {
+		t.Errorf("resumed census differs from a fresh soak:\n--- fresh ---\n%s\n--- resumed ---\n%s", fresh, got)
 	}
 }
 

@@ -6,11 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"chipmunk/internal/ace"
 	"chipmunk/internal/campaign"
+	"chipmunk/internal/lease"
+	"chipmunk/internal/obs"
+	"chipmunk/internal/workload"
 )
 
 // wakeWithin bounds how long a held lease request may take to answer after
@@ -285,5 +290,54 @@ func TestWorkersExitAtCompletion(t *testing.T) {
 		case <-time.After(time.Second - time.Since(t0)):
 			t.Fatalf("worker %d still running 1s after the soak completed", i)
 		}
+	}
+}
+
+// TestMinimizeWatchdogJournal wedges every unit behind a 1 ns watchdog: the
+// minimization task journals one "shard-watchdog" event per dispatch
+// attempt, exactly like shards and rounds, and is dropped once its attempts
+// are spent — the soak completes degraded, never hung.
+func TestMinimizeWatchdogJournal(t *testing.T) {
+	coord, srv := twoRoundCoordinator(t, 0)
+	defer coord.Close()
+	defer srv.Close()
+	hash := coord.Info().SuiteHash
+	suite, err := ace.SuiteByName("seq1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	viol := FuzzViolation{Kind: "atomicity-violation", FS: "nova", Prefix: "p", Workload: "w", Text: workload.Format(suite[0])}
+	if _, err := coord.Credit(&FuzzResult{Kind: ResultRound, Worker: "a", SpecHash: hash,
+		Round: 0, Execs: 15, Violations: []FuzzViolation{viol}}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	jr := obs.NewJournal(&buf)
+	if err := RunWorker(context.Background(), WorkerConfig{
+		Addr: srv.Addr(), ID: "w0", Journal: jr, RoundTimeout: time.Nanosecond,
+	}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if st := coord.Stats(); st.MinTasks != 1 || st.MinDropped != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if err := jr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, skipped, err := obs.ReadJournal(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("journal read: err=%v skipped=%d", err, skipped)
+	}
+	watchdogs := 0
+	for _, e := range events {
+		if e.Type == "shard-watchdog" && strings.Contains(e.Detail, "minimize watchdog") {
+			watchdogs++
+			if e.Rank != 0 || e.Worker != "w0" {
+				t.Fatalf("watchdog event: %+v", e)
+			}
+		}
+	}
+	if watchdogs != lease.DefaultRetries {
+		t.Fatalf("%d minimize shard-watchdog events, want %d (one per dispatch attempt)", watchdogs, lease.DefaultRetries)
 	}
 }

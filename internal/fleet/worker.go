@@ -2,16 +2,14 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
-	"os"
 	"sync/atomic"
 	"time"
 
 	"chipmunk/internal/campaign"
 	"chipmunk/internal/core"
 	"chipmunk/internal/fuzz"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
@@ -33,7 +31,7 @@ type WorkerConfig struct {
 	// negative = no watchdog).
 	RoundTimeout time.Duration
 	// DialBudget bounds the total retry time of each wire call
-	// (0 = campaign.DefaultDialBudget). Post-handshake exhaustion means the
+	// (0 = lease.DefaultDialBudget). Post-handshake exhaustion means the
 	// soak is over (completed, or crashed with its checkpoint safe) and the
 	// worker exits cleanly.
 	DialBudget time.Duration
@@ -56,12 +54,8 @@ type WorkerConfig struct {
 // the two modes share the handshake path precisely so workers need no
 // mode flag.
 func FetchSpec(ctx context.Context, addr string, budget time.Duration) (*campaign.SpecInfo, error) {
-	if budget <= 0 {
-		budget = campaign.DefaultDialBudget
-	}
 	var info campaign.SpecInfo
-	client := &http.Client{}
-	if err := campaign.GetJSON(ctx, client, "http://"+addr+campaign.PathSpec, &info, budget); err != nil {
+	if err := lease.NewClient(addr, budget).Get(ctx, campaign.PathSpec, &info); err != nil {
 		return nil, fmt.Errorf("fleet: handshake with %s: %w", addr, err)
 	}
 	return &info, nil
@@ -71,36 +65,27 @@ func FetchSpec(ctx context.Context, addr string, budget time.Duration) (*campaig
 // and minimization tasks — until the coordinator reports the soak done, the
 // context is cancelled, or an error is fatal.
 //
-// The fault-model contract is the campaign worker's: no soak-visible
-// progress except by a credited result POST; dying mid-unit lets the lease
-// expire for re-dispatch; engine errors, contained panics, and tripped
-// watchdogs become structured error payloads. On top of that, fuzz workers
-// maintain a local cache of the coordinator's corpus log. Every entry is
-// verified against its self-checksum on receipt, and a round lease carries
-// (Base, Cursor) so the worker rebuilds exactly the log prefix the round
-// must fuzz against; any mismatch discards the response — the re-grant path
-// resends it intact — so a corrupted wire can slow a worker down but never
-// make it fuzz against the wrong corpus.
+// The fault-model contract is lease.Loop's: no soak-visible progress except
+// by a credited result POST; dying mid-unit lets the lease expire for
+// re-dispatch; engine errors, contained panics, and tripped watchdogs
+// become structured error payloads. On top of that, fuzz workers maintain a
+// local cache of the coordinator's corpus log. Every entry is verified
+// against its self-checksum on receipt, and a round lease carries (Base,
+// Cursor) so the worker rebuilds exactly the log prefix the round must fuzz
+// against; any mismatch discards the response — the re-grant path resends
+// it intact — so a corrupted wire can slow a worker down but never make it
+// fuzz against the wrong corpus.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if wc.ID == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "worker"
-		}
-		wc.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
+		wc.ID = lease.DefaultID()
 	}
 	if wc.RoundTimeout == 0 {
 		wc.RoundTimeout = DefaultRoundTimeout
-	}
-	if wc.DialBudget <= 0 {
-		wc.DialBudget = campaign.DefaultDialBudget
 	}
 	logf := wc.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	client := &http.Client{}
-
 	info := wc.Info
 	if info == nil {
 		var err error
@@ -136,98 +121,39 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	logf("worker %s joined fuzz soak %s: %s, seed %d, %d execs/round, %d rounds/gen, fingerprint %s",
 		wc.ID, info.CampaignID, sys.Name, spec.FuzzSeed, spec.RoundExecs, spec.GenRounds, info.SuiteHash)
 
+	w := &lease.Worker{
+		ID: wc.ID, Client: lease.NewClient(wc.Addr, wc.DialBudget), Timeout: wc.RoundTimeout,
+		Journal: wc.Journal, Logf: wc.Logf,
+		LeasePath: PathFuzzLease, ResultPath: PathFuzzResult, HeartbeatPath: PathFuzzHeartbeat,
+	}
 	var cache []CorpusEntry
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var lease FuzzLeaseResponse
-		err := campaign.PostJSON(ctx, client, "http://"+wc.Addr+PathFuzzLease,
-			FuzzLeaseRequest{Worker: wc.ID, SpecHash: info.SuiteHash, Cursor: len(cache)},
-			&lease, wc.DialBudget)
-		if err != nil {
-			if gone(err) {
-				logf("worker %s: coordinator %s gone; assuming soak over", wc.ID, wc.Addr)
-				return nil
-			}
-			return fmt.Errorf("fleet: lease: %w", err)
-		}
-		var payload *FuzzResult
-		var abandoned bool
-		switch lease.Status {
-		case campaign.LeaseDone:
-			logf("worker %s: soak done", wc.ID)
-			return nil
-		case campaign.LeaseWait:
-			// The coordinator already held this request until its hold cap
-			// ran out: ask again at once.
-			continue
+	next := func() any { return FuzzLeaseRequest{Worker: wc.ID, SpecHash: info.SuiteHash, Cursor: len(cache)} }
+	err = lease.Loop(ctx, w, next, func(l FuzzLeaseResponse) *lease.Unit {
+		switch l.Status {
 		case LeaseRound:
 			if wc.OnLease != nil {
-				wc.OnLease(lease)
+				wc.OnLease(l)
 			}
-			if !absorbLease(&cache, lease, wc.ID, logf) {
-				continue // corrupt corpus delta: discard, re-poll (re-grant resends)
-			}
-			logf("worker %s: running round %d (%d execs, seed %d, corpus %d)",
-				wc.ID, lease.Round, lease.Execs, lease.Seed, lease.Cursor)
-			payload, abandoned = runRound(ctx, client, wc, cfg, kv, cache[:lease.Cursor], lease, info)
-		case LeaseMinimize:
-			if wc.OnLease != nil {
-				wc.OnLease(lease)
-			}
-			logf("worker %s: minimizing cluster %q (task %d, budget %d)",
-				wc.ID, lease.MinCluster, lease.MinID, lease.MinBudget)
-			payload, abandoned = runMinimize(ctx, client, wc, cfg, lease, info)
-		default:
-			// Only in-flight corruption produces an unknown status: discard
-			// and ask again after a short pause — whatever was granted
-			// expires or is re-granted.
-			logf("worker %s: unknown lease status %q; discarding (corrupt response?)", wc.ID, lease.Status)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(campaign.CorruptLeaseBackoff):
-			}
-			continue
-		}
-		if payload == nil {
-			if abandoned {
-				logf("worker %s: lease lost mid-run; abandoning", wc.ID)
-				continue
-			}
-			return ctx.Err()
-		}
-		payload.Sum = ResultSum(payload)
-		var credit campaign.CreditResponse
-		err = campaign.PostJSON(ctx, client, "http://"+wc.Addr+PathFuzzResult, payload, &credit, wc.DialBudget)
-		if err != nil {
-			if gone(err) {
-				logf("worker %s: coordinator %s gone before result; lease will expire elsewhere", wc.ID, wc.Addr)
+			if !absorbLease(&cache, l, wc.ID, logf) {
 				return nil
 			}
-			return fmt.Errorf("fleet: result: %w", err)
+			logf("worker %s: running round %d (%d execs, seed %d, corpus %d)",
+				wc.ID, l.Round, l.Execs, l.Seed, l.Cursor)
+			return roundUnit(wc, cfg, kv, cache[:l.Cursor], l, info)
+		case LeaseMinimize:
+			if wc.OnLease != nil {
+				wc.OnLease(l)
+			}
+			logf("worker %s: minimizing cluster %q (task %d, budget %d)",
+				wc.ID, l.MinCluster, l.MinID, l.MinBudget)
+			return minUnit(wc, cfg, l, info)
 		}
-		switch {
-		case payload.Err != "":
-			logf("worker %s: %s %d failed (%s); coordinator decides", wc.ID, payload.Kind, unitID(payload), payload.Err)
-		case credit.Duplicate:
-			logf("worker %s: %s %d was already credited (re-dispatched past our lease)", wc.ID, payload.Kind, unitID(payload))
-		case credit.Accepted:
-			logf("worker %s: %s %d credited", wc.ID, payload.Kind, unitID(payload))
-		}
-		if credit.Done {
-			logf("worker %s: soak done", wc.ID)
-			return nil
-		}
+		return nil
+	})
+	if err != nil && ctx.Err() == nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
-}
-
-func unitID(p *FuzzResult) int {
-	if p.Kind == ResultMinimize {
-		return p.MinID
-	}
-	return p.Round
+	return err
 }
 
 // absorbLease applies a round lease's corpus delta to the worker's cache,
@@ -236,14 +162,13 @@ func unitID(p *FuzzResult) int {
 func absorbLease(cache *[]CorpusEntry, lease FuzzLeaseResponse, id string, logf func(string, ...any)) bool {
 	if lease.Base < 0 || lease.Base > len(*cache) || lease.Base > lease.Cursor ||
 		lease.Base+len(lease.Corpus) != lease.Cursor {
-		logf("worker %s: lease round %d corpus delta [%d,+%d) fails geometry check against cursor %d (cache %d); discarding (corrupt response?)",
+		logf("worker %s: lease round %d corpus delta [%d,+%d) fails geometry check against cursor %d (cache %d)",
 			id, lease.Round, lease.Base, len(lease.Corpus), lease.Cursor, len(*cache))
 		return false
 	}
 	for i, e := range lease.Corpus {
 		if e.Sum == "" || e.Sum != EntrySum(e) {
-			logf("worker %s: lease round %d corpus entry %d fails its checksum; discarding (corrupt response?)",
-				id, lease.Round, lease.Base+i)
+			logf("worker %s: lease round %d corpus entry %d fails its checksum", id, lease.Round, lease.Base+i)
 			return false
 		}
 	}
@@ -251,211 +176,106 @@ func absorbLease(cache *[]CorpusEntry, lease FuzzLeaseResponse, id string, logf 
 	return true
 }
 
-// heartbeatLoop extends the unit's lease every TTL/3 while it runs,
-// piggybacking live progress. An explicit refusal sets lost and cancels the
-// unit. Identical contract to the campaign worker's inline loop.
-func heartbeatLoop(runCtx context.Context, cancel context.CancelFunc, client *http.Client,
-	wc WorkerConfig, info *campaign.SpecInfo, kind string, id int,
-	ttlNanos int64, progress *atomic.Int64, lost *atomic.Bool, done chan struct{}) {
-	defer close(done)
-	interval := time.Duration(ttlNanos) / 3
-	if interval <= 0 {
-		interval = campaign.DefaultLeaseTTL / 3
+// roundUnit is one leased fuzzing round as the lease worker runs it: a
+// fresh Node over the round's corpus cut, run for the round's execs.
+func roundUnit(wc WorkerConfig, cfg core.Config, kv bool, corpus []CorpusEntry,
+	l FuzzLeaseResponse, info *campaign.SpecInfo) *lease.Unit {
+	var node atomic.Pointer[Node]
+	result := func(r *FuzzResult) *FuzzResult {
+		r.Kind, r.Worker, r.SpecHash, r.Round = ResultRound, wc.ID, info.SuiteHash, l.Round
+		return r
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-runCtx.Done():
-			return
-		case <-t.C:
-		}
-		var hb campaign.HeartbeatResponse
-		err := campaign.PostJSON(runCtx, client, "http://"+wc.Addr+PathFuzzHeartbeat,
-			FuzzHeartbeat{Worker: wc.ID, SpecHash: info.SuiteHash, Kind: kind, ID: id,
-				Execs: int(progress.Load())}, &hb, interval)
-		if err != nil {
-			return // the result POST or the lease expiry decides
-		}
-		if !hb.Extended {
-			wc.Journal.Emit(obs.Event{
-				Type: "heartbeat-refused", FS: info.Spec.FS, Workload: "fuzz",
-				Worker: wc.ID, Sys: -1, Rank: id,
-				Detail: "coordinator refused lease extension (expired or re-dispatched); abandoning " + kind,
-			})
-			lost.Store(true)
-			cancel()
-			return
-		}
+	return &lease.Unit{
+		Kind: ResultRound, ID: l.Round, TTL: time.Duration(l.TTLNanos),
+		Event: obs.Event{FS: info.Spec.FS, Workload: "fuzz", Worker: wc.ID, Sys: -1, Rank: l.Round},
+		Beat: func(n int) any {
+			return FuzzHeartbeat{Worker: wc.ID, SpecHash: info.SuiteHash, Kind: ResultRound, ID: l.Round, Execs: n}
+		},
+		Progress: func() int {
+			if n := node.Load(); n != nil {
+				return n.Progress()
+			}
+			return 0
+		},
+		Fail: func(msg string) lease.Result { return result(&FuzzResult{Err: msg}) },
+		Run: func(ctx context.Context) (lease.Result, error) {
+			start := time.Now()
+			n, err := NewNode(cfg, l.Seed, kv, corpus)
+			if err != nil {
+				return nil, err
+			}
+			node.Store(n)
+			d, err := n.RunRound(ctx, l.Execs)
+			if err != nil {
+				return nil, err
+			}
+			return result(&FuzzResult{
+				Execs:             d.Execs,
+				StatesChecked:     d.StatesChecked,
+				RetriedChecks:     d.RetriedChecks,
+				QuarantinedChecks: d.QuarantinedChecks,
+				ElapsedNanos:      time.Since(start).Nanoseconds(),
+				NewEntries:        d.NewEntries,
+				Violations:        d.Violations,
+				Obs:               d.Obs,
+			}), nil
+		},
 	}
 }
 
-// runRound executes one leased fuzzing round under the worker's
-// self-defense layers and freezes the result. Returns (nil, false) on
-// cancellation (nothing to report), (nil, true) when the lease was lost
-// mid-run. Engine errors, contained panics, and tripped watchdogs become
-// payloads with Err set — one failed dispatch attempt.
-func runRound(ctx context.Context, client *http.Client, wc WorkerConfig, cfg core.Config,
-	kv bool, corpus []CorpusEntry, lease FuzzLeaseResponse, info *campaign.SpecInfo) (*FuzzResult, bool) {
-	runCtx, cancel := context.WithCancel(ctx)
-	if wc.RoundTimeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, wc.RoundTimeout)
+// minUnit is one leased minimization task: shrink the reproducer with
+// fuzz.Minimize, then re-run the minimized workload once and report whether
+// it still trips the same violation cluster — the census only labels a
+// reproducer "minimized" on a verified shrink.
+func minUnit(wc WorkerConfig, cfg core.Config, l FuzzLeaseResponse, info *campaign.SpecInfo) *lease.Unit {
+	var execs atomic.Int64
+	result := func(r *FuzzResult) *FuzzResult {
+		r.Kind, r.Worker, r.SpecHash = ResultMinimize, wc.ID, info.SuiteHash
+		r.MinID, r.MinCluster = l.MinID, l.MinCluster
+		return r
 	}
-	defer cancel()
-
-	var lost atomic.Bool
-	var progress atomic.Int64
-	hbDone := make(chan struct{})
-	go heartbeatLoop(runCtx, cancel, client, wc, info, ResultRound, lease.Round,
-		lease.TTLNanos, &progress, &lost, hbDone)
-
-	start := time.Now()
-	delta, err := func() (d RoundDelta, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("engine panic: %v", r)
+	return &lease.Unit{
+		Kind: ResultMinimize, ID: l.MinID, TTL: time.Duration(l.TTLNanos),
+		Event: obs.Event{FS: info.Spec.FS, Workload: "fuzz", Worker: wc.ID, Sys: -1, Rank: l.MinID},
+		Beat: func(n int) any {
+			return FuzzHeartbeat{Worker: wc.ID, SpecHash: info.SuiteHash, Kind: ResultMinimize, ID: l.MinID, Execs: n}
+		},
+		Progress: func() int { return int(execs.Load()) },
+		Fail:     func(msg string) lease.Result { return result(&FuzzResult{Err: msg}) },
+		Run: func(ctx context.Context) (lease.Result, error) {
+			w, err := workload.Parse(l.MinText)
+			if err != nil {
+				return nil, fmt.Errorf("reproducer unparseable: %w", err)
 			}
-		}()
-		node, err := NewNode(cfg, lease.Seed, kv, corpus)
-		if err != nil {
-			return RoundDelta{}, err
-		}
-		ticker := make(chan struct{})
-		defer close(ticker)
-		go func() {
-			// Mirror the node's states-checked count into the heartbeat
-			// piggyback without threading a callback through the fuzz loop.
-			t := time.NewTicker(200 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-ticker:
-					return
-				case <-t.C:
-					progress.Store(int64(node.Progress()))
+			if w.Name == "" {
+				w.Name = fmt.Sprintf("fleet-min-%d", l.MinID)
+			}
+			minimized, n, err := fuzz.Minimize(cfg, w, l.MinBudget)
+			if err != nil {
+				return nil, err
+			}
+			execs.Store(int64(n))
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			res, err := core.RunContext(ctx, cfg, minimized)
+			if err != nil {
+				return nil, err
+			}
+			// Verify against the cluster's stable coordinates (kind, FS): the
+			// trace prefix changes whenever minimization drops an op, so the
+			// full key cannot survive a successful shrink.
+			wantKind, wantFS := ClusterKindFS(l.MinCluster)
+			verified := false
+			for _, v := range res.Violations {
+				if v.Kind.String() == wantKind && v.FS == wantFS {
+					verified = true
+					break
 				}
 			}
-		}()
-		return node.RunRound(runCtx, lease.Execs)
-	}()
-	cancel()
-	<-hbDone
-
-	errPayload := func(msg string) *FuzzResult {
-		return &FuzzResult{Kind: ResultRound, Worker: wc.ID, SpecHash: info.SuiteHash,
-			Round: lease.Round, Err: msg}
+			return result(&FuzzResult{
+				MinText: workload.Format(minimized), MinExecs: n + 1, MinVerified: verified,
+			}), nil
+		},
 	}
-	switch {
-	case err == nil:
-		return &FuzzResult{
-			Kind: ResultRound, Worker: wc.ID, SpecHash: info.SuiteHash,
-			Round:             lease.Round,
-			Execs:             delta.Execs,
-			StatesChecked:     delta.StatesChecked,
-			RetriedChecks:     delta.RetriedChecks,
-			QuarantinedChecks: delta.QuarantinedChecks,
-			ElapsedNanos:      time.Since(start).Nanoseconds(),
-			NewEntries:        delta.NewEntries,
-			Violations:        delta.Violations,
-			Obs:               delta.Obs,
-		}, false
-	case lost.Load():
-		return nil, true
-	case ctx.Err() != nil:
-		return nil, false
-	case runCtx.Err() == context.DeadlineExceeded:
-		msg := fmt.Sprintf("round watchdog: engine exceeded %v", wc.RoundTimeout)
-		wc.Journal.Emit(obs.Event{
-			Type: "shard-watchdog", FS: info.Spec.FS, Workload: "fuzz",
-			Worker: wc.ID, Sys: -1, Rank: lease.Round, Detail: msg,
-		})
-		return errPayload(msg), false
-	default:
-		return errPayload(err.Error()), false
-	}
-}
-
-// runMinimize shrinks a leased reproducer with fuzz.Minimize, then re-runs
-// the minimized workload once and reports whether it still trips the same
-// violation cluster — the census only labels a reproducer "minimized" on a
-// verified shrink.
-func runMinimize(ctx context.Context, client *http.Client, wc WorkerConfig, cfg core.Config,
-	lease FuzzLeaseResponse, info *campaign.SpecInfo) (*FuzzResult, bool) {
-	runCtx, cancel := context.WithCancel(ctx)
-	if wc.RoundTimeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, wc.RoundTimeout)
-	}
-	defer cancel()
-
-	var lost atomic.Bool
-	var progress atomic.Int64
-	hbDone := make(chan struct{})
-	go heartbeatLoop(runCtx, cancel, client, wc, info, ResultMinimize, lease.MinID,
-		lease.TTLNanos, &progress, &lost, hbDone)
-
-	payload, err := func() (p *FuzzResult, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("engine panic: %v", r)
-			}
-		}()
-		w, err := workload.Parse(lease.MinText)
-		if err != nil {
-			return nil, fmt.Errorf("reproducer unparseable: %w", err)
-		}
-		if w.Name == "" {
-			w.Name = fmt.Sprintf("fleet-min-%d", lease.MinID)
-		}
-		minimized, execs, err := fuzz.Minimize(cfg, w, lease.MinBudget)
-		if err != nil {
-			return nil, err
-		}
-		progress.Store(int64(execs))
-		if err := runCtx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := core.RunContext(runCtx, cfg, minimized)
-		if err != nil {
-			return nil, err
-		}
-		// Verify against the cluster's stable coordinates (kind, FS): the
-		// trace prefix changes whenever minimization drops an op, so the full
-		// key cannot survive a successful shrink.
-		wantKind, wantFS := ClusterKindFS(lease.MinCluster)
-		verified := false
-		for _, v := range res.Violations {
-			if v.Kind.String() == wantKind && v.FS == wantFS {
-				verified = true
-				break
-			}
-		}
-		return &FuzzResult{
-			Kind: ResultMinimize, Worker: wc.ID, SpecHash: info.SuiteHash,
-			MinID: lease.MinID, MinCluster: lease.MinCluster,
-			MinText: workload.Format(minimized), MinExecs: execs + 1, MinVerified: verified,
-		}, nil
-	}()
-	cancel()
-	<-hbDone
-
-	switch {
-	case err == nil:
-		return payload, false
-	case lost.Load():
-		return nil, true
-	case ctx.Err() != nil:
-		return nil, false
-	case runCtx.Err() == context.DeadlineExceeded:
-		return &FuzzResult{Kind: ResultMinimize, Worker: wc.ID, SpecHash: info.SuiteHash,
-			MinID: lease.MinID, MinCluster: lease.MinCluster,
-			Err: fmt.Sprintf("minimize watchdog: exceeded %v", wc.RoundTimeout)}, false
-	default:
-		return &FuzzResult{Kind: ResultMinimize, Worker: wc.ID, SpecHash: info.SuiteHash,
-			MinID: lease.MinID, MinCluster: lease.MinCluster, Err: err.Error()}, false
-	}
-}
-
-// gone mirrors the campaign worker's transport-vs-protocol classification.
-func gone(err error) bool {
-	return errors.Is(err, campaign.ErrCoordinatorGone)
 }
